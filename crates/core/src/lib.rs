@@ -51,7 +51,6 @@
 
 pub mod augment;
 pub mod bulk;
-pub mod combine;
 pub mod hotpath;
 pub mod interval;
 pub mod map;

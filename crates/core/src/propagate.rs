@@ -110,7 +110,7 @@ thread_local! {
 }
 
 /// Result of waiting on a delegation chain.
-pub(crate) enum WaitResult {
+enum WaitResult {
     Done,
     TimedOut,
 }
@@ -137,11 +137,7 @@ const SCHED_WAIT_YIELD_BUDGET: u32 = 64;
 /// Safety of the chased pointers: every `PropStatus` we can reach is kept
 /// alive by the epoch pins of the still-running propagates that link to it
 /// (§6; see DESIGN.md for the pin-ordering argument).
-pub(crate) fn wait_for_delegatee(
-    start: u64,
-    timeout: Option<Duration>,
-    h: &StatsHandle<'_>,
-) -> WaitResult {
+fn wait_for_delegatee(start: u64, timeout: Option<Duration>, h: &StatsHandle<'_>) -> WaitResult {
     // `checked_add`: a timeout too large to represent as an instant (e.g.
     // Duration::MAX) degrades to "never time out", like the seed's
     // elapsed()-based check, instead of panicking.

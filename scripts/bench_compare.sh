@@ -3,15 +3,13 @@
 # regression.
 #
 # Two-file mode: any *optimized* result row present in both files
-# (matched on mix, threads, shards and batch_cap — rows without a
-# "shards" field, i.e. every pre-PR-6 file, default to 1, and rows
-# without a "batch_cap" field, i.e. every pre-PR-9 file, likewise
-# default to 1) whose new throughput is more
+# (matched on mix, threads and shards — rows without a "shards" field,
+# i.e. every pre-PR-6 file, default to 1) whose new throughput is more
 # than the threshold below the old one fails the check, and any
-# (mix, threads, shards, batch_cap) point present in the old file but
-# MISSING from the new one fails too —
-# a dropped trajectory point used to slip through silently, letting a
-# regression hide by simply not being measured. Rows that record p99
+# (mix, threads, shards) point present in the old file but MISSING from
+# the new one fails too — a dropped trajectory point used to slip
+# through silently, letting a regression hide by simply not being
+# measured. Rows that record p99
 # update latency in BOTH files are additionally checked for latency
 # regressions: a p99 that grew by more than the latency threshold
 # (default: 3x the throughput threshold — tail latencies on shared hosts
@@ -82,7 +80,6 @@ def rows(path, mode_filter):
             r.get("mix", default_mix),
             r["threads"],
             r.get("shards", 1),
-            r.get("batch_cap", 1),
         )
         out[key] = (r["mops"], r.get("upd_p99_ns"))
     return out
@@ -120,20 +117,20 @@ if mode == "pair":
     # Every point of the old trajectory must still be measured: a row
     # that disappears cannot be regression-checked, so it is an error.
     missing = sorted(set(old) - set(new))
-    for mix, threads, shards, batch_cap in missing:
+    for mix, threads, shards in missing:
         print(
-            f"   MISSING  {mix:<16} TT={threads} S={shards} B={batch_cap}: "
+            f"   MISSING  {mix:<16} TT={threads} S={shards}: "
             f"present in {old_path}, absent from {new_path}"
         )
     if missing:
         sys.exit(
-            f"{len(missing)} (mix, threads, shards, batch_cap) point(s) from "
+            f"{len(missing)} (mix, threads, shards) point(s) from "
             f"{old_path} missing in {new_path}"
         )
 
 failures = []
 for key in common:
-    mix, threads, shards, batch_cap = key
+    mix, threads, shards = key
     old_mops, old_p99 = old[key]
     new_mops, new_p99 = new[key]
     delta = new_mops / old_mops / drift_mops - 1.0
@@ -142,7 +139,7 @@ for key in common:
         status = "REGRESSION"
         failures.append(key)
     print(
-        f"{status:>10}  {mix:<16} TT={threads} S={shards} B={batch_cap}: "
+        f"{status:>10}  {mix:<16} TT={threads} S={shards}: "
         f"{old_mops:.3f} -> {new_mops:.3f} Mops/s ({delta:+.1%})"
     )
     # p99 update-latency guard (pair mode, rows that record it in both
@@ -154,8 +151,7 @@ for key in common:
             if key not in failures:
                 failures.append(key)
             print(
-                f"{'LAT-REGRESSION':>14}  {mix:<16} TT={threads} S={shards} "
-                f"B={batch_cap}: "
+                f"{'LAT-REGRESSION':>14}  {mix:<16} TT={threads} S={shards}: "
                 f"upd p99 {old_p99:.0f} -> {new_p99:.0f} ns ({lat_delta:+.1%})"
             )
 

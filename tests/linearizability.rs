@@ -2,18 +2,20 @@
 //!
 //! The checker and history recorder live in `workloads::linearize` (they
 //! were extracted from this file so any `BenchSet` adapter can run under
-//! them); this suite drives the real structures through the bench
-//! adapters: BAT under two delegation policies, the fanout tree at both
+//! them); this suite drives every structure of `bench::full_lineup`
+//! through its bench adapter: BAT under all three propagate variants
+//! (plain, Del, EagerDel), FR-BST, VcasBST, the fanout tree at both
 //! publication granularities (per-edge — the PR 4 tentpole — and the
-//! retained per-holder ablation), and the unaugmented chromatic tree.
+//! retained per-holder ablation) plus its single-root baseline, the
+//! unaugmented chromatic tree, and the BAT and fanout sharded forests.
 //!
 //! Histories are recorded on a hot 8-key space by 6 threads, so nearly
 //! every operation contends; each per-key sub-history is then checked
 //! against sequential boolean-set semantics.
 
 use bench::{
-    BatAdapter, ChromaticAdapter, FanoutAdapter, PerHolderFanoutAdapter, ShardedBatAdapter,
-    ShardedFanoutAdapter,
+    BatAdapter, ChromaticAdapter, FanoutAdapter, FrAdapter, PerHolderFanoutAdapter,
+    ShardedBatAdapter, ShardedFanoutAdapter, SingleRootFanoutAdapter, VcasAdapter,
 };
 use shard::Partition;
 use workloads::linearize::assert_point_ops_linearizable;
@@ -30,13 +32,36 @@ fn point_ops_linearizable_bat() {
 }
 
 #[test]
+fn point_ops_linearizable_del() {
+    check(&BatAdapter::del(), "BAT-Del");
+}
+
+#[test]
 fn point_ops_linearizable_eager_del() {
     check(&BatAdapter::eager(), "BAT-EagerDel");
 }
 
 #[test]
+fn point_ops_linearizable_frbst() {
+    check(&FrAdapter::new(), "FR-BST");
+}
+
+#[test]
+fn point_ops_linearizable_vcas() {
+    check(&VcasAdapter::new(), "VcasBST");
+}
+
+#[test]
 fn point_ops_linearizable_fanout_per_edge() {
     check(&FanoutAdapter::new(), "fanout (per-edge publication)");
+}
+
+#[test]
+fn point_ops_linearizable_fanout_single_root() {
+    check(
+        &SingleRootFanoutAdapter::new(),
+        "fanout (single-root baseline)",
+    );
 }
 
 #[test]
