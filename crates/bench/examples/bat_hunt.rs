@@ -1,28 +1,24 @@
-//! Reproducer harness for the rare BAT-baseline liveness/memory bug
-//! tracked in ROADMAP.md ("Rare liveness/memory bug in the BAT
-//! *baseline* hot path"). Two modes:
+//! Reproducer harness for the rare BAT liveness/memory bug tracked in
+//! the ROADMAP forensics (one livelock and one SIGSEGV, both seen while
+//! a since-deleted pool-bypassing hot-path mode was on). Two modes:
 //!
-//! * **Wall-clock mode** (default): replicates `bench_pr4` section 1's
-//!   baseline half — 3 mixes × TT 1,2,4,8 × 3 trials of 600 ms on
-//!   `BatAdapter::plain` with the baseline (pool-bypassing) hot path —
-//!   where one livelock and one SIGSEGV were observed across six full
-//!   sweeps. `cargo run --release -p bench --example bat_baseline_hunt
-//!   -- <iterations>`; 12 iterations (~430 runs) have not reproduced it.
+//! * **Wall-clock mode** (default): 3 mixes × TT 1,2,4,8 × 3 trials of
+//!   600 ms on `BatAdapter::plain`, the sweep shape under which the two
+//!   failures were observed. `cargo run --release -p bench --example
+//!   bat_hunt -- <iterations>`.
 //!
-//! * **Deterministic-scheduler mode** (`--sched [schedules]`, PR 5):
+//! * **Deterministic-scheduler mode** (`--sched [schedules]`):
 //!   explores seeded interleavings of a 3-thread
 //!   insert/remove/contains/rank mix on `BatSet` under the cooperative
 //!   scheduler, with reclamation poisoning (debug builds) and the
-//!   `refresh.rs` crash fences armed. Alternate rounds add a fourth
-//!   vthread that toggles `hotpath::set_baseline` mid-race, so the
-//!   pool-bypass allocation path is explored too. Build with `--features
+//!   `refresh.rs` crash fences armed. Build with `--features
 //!   bench/sched-test` so every atomic access is a preemption point; a
 //!   reproduction dumps the seed + trace for exact replay.
-//!   `cargo run -p bench --features sched-test --example
-//!   bat_baseline_hunt -- --sched 2000`
+//!   `cargo run -p bench --features sched-test --example bat_hunt --
+//!   --sched 2000`
 use std::time::Duration;
 
-use cbat_core::sched_hunt::{hunt_body, hunt_body_baseline_toggle};
+use cbat_core::sched_hunt::hunt_body;
 use sched::{explore, ExploreConfig, Policy};
 use workloads::{OpMix, QueryKind, RunConfig};
 
@@ -37,13 +33,10 @@ fn sched_mode(schedules: usize) {
     let per_cell = (schedules / 2).max(1);
     let mut explored = 0usize;
     let mut failures = 0usize;
-    for (cell, (opseed_base, policy)) in [
+    for (opseed_base, policy) in [
         (0x0BA7_1000u64, Policy::RandomWalk),
         (0x0BA7_2000, Policy::Pct { depth: 3 }),
-    ]
-    .into_iter()
-    .enumerate()
-    {
+    ] {
         // Rotate op-stream seeds so long campaigns vary the workload too.
         let mut remaining = per_cell;
         let mut round = 0u64;
@@ -57,23 +50,14 @@ fn sched_mode(schedules: usize) {
                 policy,
                 stop_on_failure: false,
             };
-            // Alternate rounds between the plain mix and the variant whose
-            // fourth vthread flips `hotpath::set_baseline` mid-race, so
-            // long campaigns also explore the pool-*bypass* allocation
-            // path (the one reclamation poisoning cannot see).
-            let toggled = (round + cell as u64) % 2 == 1;
-            let report = if toggled {
-                explore(&cfg, move || hunt_body_baseline_toggle(opseed))
-            } else {
-                explore(&cfg, move || hunt_body(opseed))
-            };
+            let report = explore(&cfg, move || hunt_body(opseed));
             explored += report.schedules;
             failures += report.failures.len();
             remaining -= chunk;
             round += 1;
             eprintln!(
                 "sched hunt: {explored} schedules explored, {failures} failures \
-                 (policy {policy:?}, baseline-toggle {toggled})"
+                 (policy {policy:?})"
             );
         }
     }
@@ -88,7 +72,6 @@ fn sched_mode(schedules: usize) {
 fn wall_clock_mode(iters: usize) {
     let mixes = [[50u32, 50, 0, 0], [25, 25, 40, 10], [5, 5, 60, 30]];
     for it in 0..iters {
-        cbat_core::hotpath::set_baseline(true);
         for (mi, mix) in mixes.iter().enumerate() {
             for tt in [1usize, 2, 4, 8] {
                 for trial in 0..3usize {
@@ -104,7 +87,6 @@ fn wall_clock_mode(iters: usize) {
                 eprintln!("iter {it} mix {mi} TT={tt} ok");
             }
         }
-        cbat_core::hotpath::set_baseline(false);
         eprintln!("== iter {it} done ==");
     }
     eprintln!("ALL OK");

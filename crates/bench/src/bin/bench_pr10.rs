@@ -4,8 +4,8 @@
 //! file point-for-point), plus the end-to-end serving-layer
 //! measurements.
 //!
-//! 1. **BAT mixes** (trajectory continuity): the three PR 2/3 scenario
-//!    mixes × baseline/optimized hot path × thread counts, so
+//! 1. **BAT mixes** (trajectory continuity): the three scenario mixes ×
+//!    thread counts, in rows of mode `optimized`, so
 //!    `scripts/bench_compare.sh` can diff `BENCH_PR6.json` against this
 //!    file point-for-point (throughput *and* p99 update latency).
 //! 2. **Contended writers** (PR 3 gate, kept): disjoint per-thread key
@@ -53,7 +53,7 @@ use bench::{
 use shard::Partition;
 use workloads::{BenchSet, KeyDist, OpMix, QueryKind, RunConfig, RunResult};
 
-/// The scenario mixes shared with `bench_pr2`..`bench_pr4` (name,
+/// The scenario mixes every committed `BENCH_PR*.json` point records (name,
 /// paper-style mix string, shares in percent: insert-delete-find-query).
 const MIXES: [(&str, &str, [u32; 4]); 3] = [
     ("update-heavy", "50i-50d-0f-0rq", [50, 50, 0, 0]),
@@ -246,44 +246,19 @@ fn main() {
     let opts = Opts::parse();
     let mut rows: Vec<Row> = Vec::new();
 
-    // --- 1. BAT mixes, baseline first (cold pools cannot flatter it). ---
-    for &mode in &["baseline", "optimized"] {
-        eprintln!("== BAT {mode} hot path ==");
-        cbat_core::hotpath::set_baseline(mode == "baseline");
-        for mix in &MIXES {
-            for &tt in &opts.threads {
-                let (mops, r) = best_of(
-                    &opts,
-                    mix.0,
-                    mode,
-                    tt,
-                    || Box::new(BatAdapter::plain()),
-                    |trial| config(&opts, mix.2, tt, trial),
-                );
-                rows.push(Row::from(mix.1, mode, tt, mops, &r));
-            }
-        }
-    }
-    cbat_core::hotpath::set_baseline(false);
-
-    let mut gains = Vec::new();
-    for (_, mix, _) in &MIXES {
+    // --- 1. BAT mixes. ---
+    eprintln!("== BAT mixes ==");
+    for mix in &MIXES {
         for &tt in &opts.threads {
-            let at = |mode: &str| {
-                rows.iter()
-                    .find(|r| r.mode == mode && r.mix == *mix && r.threads == tt)
-                    .expect("swept row")
-                    .mops
-            };
-            let (base, opt) = (at("baseline"), at("optimized"));
-            let gain = opt / base - 1.0;
-            eprintln!(
-                "{mix} TT={tt}: baseline {base:.3} -> optimized {opt:.3} Mops/s ({:+.1}%)",
-                gain * 100.0
+            let (mops, r) = best_of(
+                &opts,
+                mix.0,
+                "optimized",
+                tt,
+                || Box::new(BatAdapter::plain()),
+                |trial| config(&opts, mix.2, tt, trial),
             );
-            gains.push(format!(
-                "    {{\"mix\": \"{mix}\", \"threads\": {tt}, \"gain\": {gain:.4}}}"
-            ));
+            rows.push(Row::from(mix.1, "optimized", tt, mops, &r));
         }
     }
 
@@ -731,7 +706,7 @@ Serve rows measure end-to-end request latency (client scheduled \
 arrival to reaped response) through the serving layer, not bare structure ops; on a 1-core \
 host the clients, workers and analytics thread timeshare one CPU, so serve req/s is far \
 below bare-structure Mops and the headline is a latency-at-load point, not a peak.\",\n  \
-         \"results\": [\n{}\n  ],\n  \"throughput_gain\": [\n{}\n  ],\n  \
+         \"results\": [\n{}\n  ],\n  \
          \"fanout_contended_gain\": [\n{}\n  ],\n  \"fanout_same_slice\": [\n{}\n  ],\n  \
          \"fig9\": [\n{}\n  ],\n  \"adapter_sweep\": [\n{}\n  ],\n  \
          \"shard_scaling\": [\n{}\n  ],\n  \"hot_drift\": [\n{}\n  ],\n  \
@@ -747,7 +722,6 @@ below bare-structure Mops and the headline is a latency-at-load point, not a pea
             .map(|n| n.get())
             .unwrap_or(1),
         json_rows.join(",\n"),
-        gains.join(",\n"),
         fanout_gains.join(",\n"),
         granularity_rows.join(",\n"),
         fig9.join(",\n"),

@@ -297,7 +297,7 @@ fanout_adapter!(
 fanout_adapter!(
     /// The PR 3 fanout tree publication scheme (versioned edges, but the
     /// whole holder node frozen per publish) — the conflict-granularity
-    /// ablation `bench_pr4`'s same-slice scenario measures
+    /// ablation `bench_pr10`'s same-slice scenario measures
     /// [`FanoutAdapter`] against. Identical structure and pools; only the
     /// freeze granularity differs.
     PerHolderFanoutAdapter,
@@ -308,7 +308,7 @@ fanout_adapter!(
 
 fanout_adapter!(
     /// The pre-PR 3 fanout tree (whole-path COW under one root CAS) — the
-    /// publication-scheme ablation `bench_pr3`'s contended-writers scenario
+    /// publication-scheme ablation `bench_pr10`'s contended-writers scenario
     /// measures [`FanoutAdapter`] against. Pools and workloads are
     /// identical; only the publication mechanism differs.
     SingleRootFanoutAdapter,
@@ -485,7 +485,7 @@ pub fn lineup() -> Vec<Box<dyn BenchSet>> {
 }
 
 /// Every adapter in the workspace, including the point-only ablation —
-/// the lineup `bench_pr2` sweeps to prove no mix panics on any adapter.
+/// the lineup `bench_pr10` sweeps to prove no mix panics on any adapter.
 pub fn full_lineup() -> Vec<Box<dyn BenchSet>> {
     let mut all = lineup();
     all.push(Box::new(BatAdapter::plain()));

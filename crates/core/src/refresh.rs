@@ -27,7 +27,7 @@ pub type BatNode<K, V, A> = Node<K, V, VersionSlot<K, V, A>>;
 #[cfg(debug_assertions)]
 const POISON_PTR: u64 = 0xDDDD_DDDD_DDDD_DDDD;
 
-/// Debug fence for the ROADMAP's rare BAT-baseline crash (one SIGSEGV at
+/// Debug fence for the ROADMAP's rare BAT crash (one SIGSEGV at
 /// address `0x30` symbolized to `read_version → VersionSlot::load`, i.e. a
 /// null `BatNode` reached through a child pointer): validate a child
 /// pointer *before* dereferencing it, so the hunt fails fast with context
@@ -42,7 +42,7 @@ pub fn fence_node_ptr(raw: u64, parent: u64, role: &'static str) {
             "BAT reclamation fence: {role} child pointer {raw:#x} of node \
              {parent:#x} is null/poisoned/misaligned (ebr epoch {}, thread \
              {}) — latent reclamation race, see ROADMAP \"Rare \
-             liveness/memory bug in the BAT baseline hot path\"",
+             liveness/memory bug in the BAT hot path\"",
             ebr::stats().epoch,
             ebr::thread_id(),
         );

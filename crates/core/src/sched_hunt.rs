@@ -1,9 +1,9 @@
-//! The shared body of the deterministic BAT reclamation hunt (ROADMAP's
-//! "Rare liveness/memory bug in the BAT baseline hot path").
+//! The shared body of the deterministic BAT reclamation hunt, aimed at the
+//! rare, unreproduced BAT liveness/memory bug of the ROADMAP forensics.
 //!
 //! Lives here — not duplicated in the test and the bench example — so the
 //! CI corpus (`crates/core/tests/sched_hunt.rs`) and long campaigns
-//! (`bench --example bat_baseline_hunt -- --sched N`) always run the
+//! (`bench --example bat_hunt -- --sched N`) always run the
 //! *same* scenario with the *same* post-race oracle; a divergence found
 //! by either is reproducible in the other from its seed. The module is
 //! compiled unconditionally (the scheduler API exists without the
@@ -25,37 +25,11 @@ pub const KEY_SPACE: u64 = 24;
 /// structural updates and version retirement. Ends with a version-tree
 /// self-consistency oracle.
 pub fn hunt_body(opseed: u64) {
-    hunt(opseed, false)
-}
-
-/// The pool-*bypass* variant (ISSUE 6 satellite): a fourth vthread flips
-/// [`crate::hotpath::set_baseline`] on and off **mid-race**, so some
-/// version/status objects are malloc-allocated and plain-freed while
-/// others flow through the EBR pool — the allocation path the pool's
-/// 0xDD reclamation poison cannot see is itself explored, interleaved at
-/// every shared-memory access with the same contended mix. The toggle is
-/// restored by a drop guard even when a schedule fails, so one failing
-/// schedule cannot leak baseline mode into the rest of a campaign.
-pub fn hunt_body_baseline_toggle(opseed: u64) {
-    hunt(opseed, true)
-}
-
-/// Restores the optimized hot path no matter how the schedule ends.
-struct RestoreHotPath;
-
-impl Drop for RestoreHotPath {
-    fn drop(&mut self) {
-        crate::hotpath::set_baseline(false);
-    }
-}
-
-fn hunt(opseed: u64, toggle_baseline: bool) {
-    let _restore = toggle_baseline.then_some(RestoreHotPath);
     let set = Arc::new(BatSet::<u64>::with_policy(DelegationPolicy::None));
     for k in (0..KEY_SPACE).step_by(3) {
         set.insert(k);
     }
-    let mut hs: Vec<_> = (0..3u64)
+    let hs: Vec<_> = (0..3u64)
         .map(|t| {
             let set = set.clone();
             sched::spawn(move || {
@@ -86,18 +60,6 @@ fn hunt(opseed: u64, toggle_baseline: bool) {
             })
         })
         .collect();
-    if toggle_baseline {
-        let set = set.clone();
-        hs.push(sched::spawn(move || {
-            // Bypass window: updates racing these run with the pool
-            // disabled, then re-enabled — both transitions land at
-            // schedule-chosen points inside the workers' op streams.
-            crate::hotpath::set_baseline(true);
-            set.insert(opseed % KEY_SPACE);
-            set.remove(&(opseed.wrapping_mul(7) % KEY_SPACE));
-            crate::hotpath::set_baseline(false);
-        }));
-    }
     for h in hs {
         h.join();
     }

@@ -6,9 +6,12 @@
 //! scheduled code.
 //!
 //! The check lives in its own test binary: a trace is only a function
-//! of its seed while no other test in the process touches the global
-//! hot-path flag, node pools or epoch (the `sched_hunt` baseline-toggle
-//! hunt flips the flag mid-race).
+//! of its seed while no other test in the process uses the global EBR
+//! epoch and thread-slot registry. A concurrent test's threads can change
+//! how many slots `ebr` scans on registration and whether an epoch
+//! advance returns early, so the same seed can take a different number
+//! of scheduled steps (merged into the `sched_hunt` binary, the two
+//! replays diverged in 9 of 228 runs on a 2-vCPU host).
 #![cfg(feature = "sched-test")]
 
 use std::sync::Arc;

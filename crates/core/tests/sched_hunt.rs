@@ -1,7 +1,7 @@
-//! sched-driven hunt for the ROADMAP's rare BAT-baseline reclamation race
+//! sched-driven hunt for the ROADMAP's rare BAT reclamation race
 //! (one livelock + one SIGSEGV on a null `BatNode` in `read_version →
 //! VersionSlot::load`, `crates/core/src/refresh.rs`, seen twice in ~6
-//! `bench_pr4` sweeps and never in ~430 wall-clock reruns).
+//! wall-clock bench sweeps and never in ~430 wall-clock reruns).
 //!
 //! Under the deterministic scheduler every shared-memory access of the
 //! insert/remove/contains/rank mix is a preemption point, reclamation
@@ -13,11 +13,11 @@
 //! byte-replayable* failure instead of a once-in-430-runs SIGSEGV.
 //!
 //! The default corpus is sized for CI; set `CBAT_SCHED_HUNT_SCHEDULES`
-//! for long campaigns (`bench --example bat_baseline_hunt -- --sched N`
-//! wraps the same body for out-of-CI hunting).
+//! for long campaigns (`bench --example bat_hunt -- --sched N` wraps the
+//! same body for out-of-CI hunting).
 #![cfg(feature = "sched-test")]
 
-use cbat_core::sched_hunt::{hunt_body, hunt_body_baseline_toggle};
+use cbat_core::sched_hunt::hunt_body;
 use sched::{explore, ExploreConfig, Policy};
 
 #[test]
@@ -49,41 +49,6 @@ fn bat_reclamation_hunt_under_explored_schedules() {
     }
     eprintln!(
         "sched hunt: {explored} schedules clean (poisoning + fences armed); \
-         scale with CBAT_SCHED_HUNT_SCHEDULES"
-    );
-}
-
-#[test]
-fn bat_baseline_toggle_hunt_under_explored_schedules() {
-    // Same mix, plus a fourth vthread flipping `hotpath::set_baseline`
-    // mid-race: schedules interleave pool-bypass (malloc/free) allocation
-    // with pooled allocation inside one contended campaign, so the path
-    // the pool's reclamation poison cannot see is explored too.
-    let budget: usize = std::env::var("CBAT_SCHED_HUNT_SCHEDULES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(120);
-    let per_cell = (budget / 4).max(1);
-    let mut explored = 0usize;
-    for (opseed, policy, seed) in [
-        (0x0BA7_0003u64, Policy::RandomWalk, 0x4017_0005u64),
-        (0x0BA7_0003, Policy::Pct { depth: 3 }, 0x4017_0006),
-        (0x0BA7_0004, Policy::RandomWalk, 0x4017_0007),
-        (0x0BA7_0004, Policy::Pct { depth: 3 }, 0x4017_0008),
-    ] {
-        let cfg = ExploreConfig {
-            schedules: per_cell,
-            seed,
-            max_steps: 3_000_000,
-            policy,
-            stop_on_failure: true,
-        };
-        let report = explore(&cfg, move || hunt_body_baseline_toggle(opseed));
-        report.assert_clean("BAT baseline-toggle hunt");
-        explored += report.schedules;
-    }
-    eprintln!(
-        "baseline-toggle hunt: {explored} schedules clean; \
          scale with CBAT_SCHED_HUNT_SCHEDULES"
     );
 }

@@ -11,9 +11,9 @@
 //! every retired object's memory flows back to it, so a measured window
 //! of mixed inserts/removes — leaf patches, delete patches, BLK/RB/W
 //! rebalancing steps, version refreshes, delegation statuses — performs
-//! no heap allocation at all. Flipping `hotpath::set_baseline(true)`
-//! restores the seed's malloc-per-object behavior in the same binary,
-//! which the final window demonstrates.
+//! no heap allocation at all. A final control window runs the same kind
+//! of updates on a fresh thread with empty pools and must see the
+//! counter move, proving it observes the update path.
 //!
 //! This file deliberately holds a single `#[test]`: the libtest harness
 //! runs tests of one binary on multiple threads, and any concurrent test
@@ -70,7 +70,7 @@ fn steady_state_hot_paths_perform_zero_heap_allocations() {
     // per-edge state lives inside the pooled nodes, never on the heap.
     fanout_versioned_edge_window(fanout::FanoutSet::new(), "per-edge");
     fanout_versioned_edge_window(fanout::FanoutSet::new_per_holder(), "per-holder");
-    baseline_mode_allocates_again();
+    cold_pools_allocate();
 }
 
 fn propagate_window() {
@@ -264,25 +264,23 @@ fn fanout_versioned_edge_window(s: fanout::FanoutSet, granularity: &str) {
     assert!(s.debug_max_version_chain() <= 2);
 }
 
-/// Control: with `hotpath::set_baseline(true)` the pools are bypassed and
-/// the same churn loop hits the global allocator again — proving the
-/// counter actually observes the update path.
-fn baseline_mode_allocates_again() {
-    cbat_core::hotpath::set_baseline(true);
-    let m = BatMap::<u64, u64>::new();
-    for k in 0..256u64 {
-        m.insert(k, k);
-    }
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
-    for k in 0..128u64 {
-        m.remove(&k);
-        m.insert(k, k);
-    }
-    COUNTING.store(false, Ordering::SeqCst);
-    cbat_core::hotpath::set_baseline(false);
+/// Control: on a freshly spawned thread the free-list pools and scratch
+/// are empty, so inserts into a fresh tree must hit the global allocator —
+/// proving the counter actually observes the update path.
+fn cold_pools_allocate() {
+    std::thread::spawn(|| {
+        let m = BatMap::<u64, u64>::new();
+        ALLOCS.store(0, Ordering::SeqCst);
+        COUNTING.store(true, Ordering::SeqCst);
+        for k in 0..128u64 {
+            m.insert(k, k);
+        }
+        COUNTING.store(false, Ordering::SeqCst);
+    })
+    .join()
+    .expect("control thread panicked");
     assert!(
         ALLOCS.load(Ordering::SeqCst) > 0,
-        "baseline mode must restore per-update heap allocation"
+        "updates on cold pools must allocate"
     );
 }

@@ -190,8 +190,9 @@ impl BNode {
 // comparison *count* beats binary search: no data-dependent branches (each
 // `<=` compiles to a flag-setting compare plus an add on x86/aarch64), one
 // short loop the compiler unrolls, and the same shape a later `core::simd`
-// PR vectorizes directly (compare-mask + popcount). `bench_pr6` records the
-// single-thread `find` ns/op baseline this replaces binary search at.
+// PR vectorizes directly (compare-mask + popcount). `bench_pr10` section 9
+// records the single-thread `find` ns/op baseline this replaces binary
+// search at.
 // ---------------------------------------------------------------------------
 
 /// Number of keys in sorted `xs` that are `<= k` — identical to

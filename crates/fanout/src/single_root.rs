@@ -1,7 +1,7 @@
 //! The pre-PR 3 fanout tree: one atomic root pointer, whole-path COW.
 //!
 //! Kept as the **ablation baseline** for the contended-writers benchmark
-//! (`bench_pr3`): every update copies the full root-to-leaf path and
+//! (`bench_pr10` section 2): every update copies the full root-to-leaf path and
 //! publishes with a single root `compare_exchange`, so concurrent writers
 //! — even on disjoint subtrees — serialize on one word and retry each
 //! other. [`crate::FanoutSet`] replaces this scheme with per-subtree

@@ -214,7 +214,8 @@ fn per_holder_ablation_stays_correct() {
 /// require the per-edge abort rate not to exceed the per-holder rate
 /// beyond noise — the whole point of edge granularity is a strictly
 /// smaller conflict set. (On a single-core host both rates are small, so
-/// this is a soundness bound; `bench_pr4` records the measured gap.)
+/// this is a soundness bound; `bench_pr10` section 3 records the measured
+/// gap.)
 #[test]
 fn same_slice_abort_rate_never_exceeds_per_holder() {
     fn churn(s: &Arc<FanoutSet>) -> f64 {

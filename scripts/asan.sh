@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
-# AddressSanitizer pass over the reclamation-heavy crates, aimed squarely
-# at the unreproduced BAT-baseline heap corruption (ROADMAP forensics:
-# SIGSEGV at offset 0x30 in `read_version` → `VersionSlot::load`, and a
-# `malloc_consolidate` abort on an unaligned fastbin chunk — classic
-# allocator-metadata corruption in the pool-*bypass* raw malloc/free
-# path). ASan instruments exactly what EBR pool poisoning cannot see:
-# every raw allocation gets redzones and a reuse quarantine, so a
+# AddressSanitizer pass over the reclamation-heavy crates, aimed at the
+# unreproduced BAT heap corruption (ROADMAP forensics: SIGSEGV at offset
+# 0x30 in `read_version` → `VersionSlot::load`, and a `malloc_consolidate`
+# abort on an unaligned fastbin chunk — allocator-metadata corruption
+# signatures, all seen while a since-deleted pool-bypassing hot-path mode
+# was on). Deleting that mode does not prove the race lived there, so
+# ASan stays armed on the one remaining hot path: every raw allocation
+# (pool misses, scratch growth, EBR bags) gets redzones and a reuse
+# quarantine, complementing the pool's debug poisoning, so a
 # use-after-retire or overflow reports at the faulting access instead of
 # crashing minutes later inside glibc.
 #
@@ -52,13 +54,13 @@ timeout 1200 cargo +nightly run --release -p serve \
     --example serve --target "$TARGET"
 
 if [ "$HUNT_ITERS" -gt 0 ]; then
-    # Wall-clock rounds of the exact workload that produced the original
-    # crashes: bench_pr4 section 1's baseline half on the pool-bypassing
-    # hot path. Release opt so the interleavings resemble the original
-    # runs; each iteration is ~36 runs of 600 ms (plus ASan overhead).
-    echo "== asan: bat_baseline_hunt wall-clock mode, $HUNT_ITERS iteration(s) =="
+    # Wall-clock rounds of the sweep shape that produced the original
+    # crashes (3 BAT mixes x TT 1,2,4,8), now on the optimized hot path.
+    # Release opt so the interleavings resemble the original runs; each
+    # iteration is ~36 runs of 600 ms (plus ASan overhead).
+    echo "== asan: bat_hunt wall-clock mode, $HUNT_ITERS iteration(s) =="
     timeout 3600 cargo +nightly run --release -p bench \
-        --example bat_baseline_hunt --target "$TARGET" -- "$HUNT_ITERS"
+        --example bat_hunt --target "$TARGET" -- "$HUNT_ITERS"
 fi
 
 echo "asan: clean"

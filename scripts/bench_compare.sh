@@ -18,19 +18,25 @@
 # Host-drift normalization: successive trajectory files are recorded on
 # different container instances of a shared host, whose absolute speed
 # varies by tens of percent with tenant load. The *baseline* rows run
-# intentionally de-optimized code that behaves identically across PRs,
-# so the median new/old ratio over shared baseline points estimates pure
-# host drift; optimized rows are compared after dividing that factor out
-# (both for throughput and for p99). A real optimization regression
-# moves optimized rows relative to baseline rows and is still caught;
-# absolute drift that moves both identically is not a code change.
-# Requires >= 3 shared baseline points, else the factor stays 1.
+# comparator code that behaves identically across PRs, so the median
+# new/old ratio over shared baseline points estimates pure host drift;
+# optimized rows are compared after dividing that factor out (both for
+# throughput and for p99). A real optimization regression moves
+# optimized rows relative to baseline rows and is still caught; absolute
+# drift that moves both identically is not a code change. Requires >= 3
+# shared baseline points, else the factor stays 1. Files up to
+# BENCH_PR10.json also carry BAT rows with mode "baseline"; newly
+# recorded files carry only the fanout comparator rows (contended-writers
+# single-root and same-slice per-holder), so drift against a new file is
+# estimated from those alone.
 #
 # Self mode (--self): within ONE file, every (mix, threads) point must
 # have optimized throughput at least (100 - threshold)% of its baseline
-# twin. Both modes ran in the same process on the same machine, so this
-# is host-independent — it is the check CI runs on a fresh smoke file to
-# catch a code change that destroys the hot-path optimization.
+# twin — in newly recorded files, the fanout comparator pairs
+# (contended-writers single-root vs versioned-edge, same-slice per-holder
+# vs per-edge). Both ran in the same process on the same machine, so
+# this is host-independent — it is the check CI runs on a fresh smoke
+# file to catch a code change that destroys the fanout publication wins.
 #
 # Usage:
 #   scripts/bench_compare.sh OLD.json NEW.json [threshold-pct] [lat-threshold-pct]
@@ -69,7 +75,7 @@ mode, old_path, new_path, thresh_pct, lat_thresh_pct = (
 def rows(path, mode_filter):
     with open(path) as f:
         doc = json.load(f)
-    # bench_pr1 rows carry no per-row mix; the whole file is one mix,
+    # BENCH_PR1.json rows carry no per-row mix; the whole file is one mix,
     # recorded in the workload header.
     default_mix = doc.get("workload", {}).get("mix", "?")
     out = {}
@@ -92,7 +98,7 @@ if mode == "self":
 else:
     old, new = rows(old_path, "optimized"), rows(new_path, "optimized")
     what = f"{old_path} vs {new_path} (optimized rows)"
-    # Estimate host drift from the shared baseline (de-optimized) rows.
+    # Estimate host drift from the shared baseline (comparator) rows.
     ob, nb = rows(old_path, "baseline"), rows(new_path, "baseline")
     shared = sorted(set(ob) & set(nb))
     if len(shared) >= 3:

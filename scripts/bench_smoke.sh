@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Short before/after benchmark of the hot paths across workload mixes.
+# Short benchmark of the hot paths across workload mixes.
 # Writes BENCH_PR<n>.json to the repo root. <n> defaults to one past the
 # highest committed trajectory point, so a plain run always *adds* a
 # point and can never silently overwrite recorded perf history; set
@@ -15,7 +15,7 @@ cd "$(dirname "$0")/.."
 latest=$(ls BENCH_PR*.json 2>/dev/null | sed -E 's/^BENCH_PR([0-9]+)\.json$/\1/' | sort -n | tail -1)
 PR="${BENCH_PR:-$(( ${latest:-0} + 1 ))}"
 cargo build --release -p bench
-# The timeout turns a (rare, pre-existing) BAT-baseline liveness bug —
+# The timeout turns a (rare, pre-existing, unreproduced) BAT liveness bug —
 # tracked in ROADMAP.md — into a loud failure instead of a wedged CI job.
 timeout 2400 cargo run --release -p bench --bin bench_pr10 -- \
     --pr "$PR" --threads 1,2,4,8 --duration-ms 600 --trials 3 --max-key 32768 \
